@@ -389,10 +389,11 @@ benchIntegrity(bench::Harness &h, size_t devices)
     // Recovery-overhead sweep: the same wide-row add stream under
     // each integrity mode. Off must be indistinguishable from the
     // baseline wall numbers (the detection machinery is fully
-    // bypassed); Checksum pays host-side shadow simulation and
-    // verification readback (wall only — modeled device work is
-    // untouched); DualModular re-executes every bbop op, so its
-    // modeled compute latency is exactly 2x Off's.
+    // bypassed); Checksum pays host-side shadow simulation plus its
+    // row snapshots and verification reads, which are charged as
+    // transfer, not compute (modeled compute is untouched);
+    // DualModular re-executes every bbop op, so its modeled compute
+    // latency is exactly 2x Off's.
     const std::string tag = "d" + std::to_string(devices);
     const struct
     {
@@ -483,7 +484,7 @@ main(int argc, char **argv)
     h.speedup("runtime integrity dual modeled cost",
               "runtime/integrity/dual/modeled/d4",
               "runtime/integrity/off/modeled/d4");
-    // Informational (wall): the host-side price of detection.
+    // Ceiling-gated (wall): the host-side price of detection.
     h.speedup("runtime integrity checksum wall cost",
               "runtime/integrity/checksum/wall/d4",
               "runtime/integrity/off/wall/d4");

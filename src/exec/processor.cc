@@ -283,6 +283,37 @@ Processor::loadInto(const VecHandle &v, uint64_t *out)
     }
 }
 
+RowSnapshot
+Processor::snapshotRows(const VecHandle &v)
+{
+    const VecInfo &vi = info(v);
+    RowSnapshot snap;
+    snap.segments.reserve(vi.segments.size());
+    for (const Segment &seg : vi.segments) {
+        const Subarray &sub = device_.bank(seg.bank).subarray(seg.sub);
+        snap.segments.push_back(
+            {seg.lanes,
+             tunit_.readRows(sub, seg.baseRow, vi.bits, seg.lanes)});
+    }
+    return snap;
+}
+
+void
+Processor::restoreRows(const VecHandle &v, const RowSnapshot &snap)
+{
+    const VecInfo &vi = info(v);
+    if (snap.segments.size() != vi.segments.size())
+        fatal("Processor::restoreRows: snapshot shape mismatch");
+    for (size_t i = 0; i < vi.segments.size(); ++i) {
+        const Segment &seg = vi.segments[i];
+        const RowSnapshot::Segment &ss = snap.segments[i];
+        if (ss.lanes != seg.lanes || ss.rows.size() != vi.bits)
+            fatal("Processor::restoreRows: snapshot shape mismatch");
+        Subarray &sub = device_.bank(seg.bank).subarray(seg.sub);
+        tunit_.writeRows(sub, seg.baseRow, ss.rows, seg.lanes);
+    }
+}
+
 const MicroProgram &
 Processor::program(OpKind op, size_t width)
 {

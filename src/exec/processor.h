@@ -159,6 +159,21 @@ class Processor
      */
     void loadInto(const VecHandle &v, uint64_t *out);
 
+    /**
+     * Charged row read: captures @p v's rows as copy-on-write
+     * aliases, charging the transfer statistics exactly as loadInto()
+     * does (same rows, same lanes, same order) but skipping the
+     * transposition to horizontal lanes.
+     */
+    RowSnapshot snapshotRows(const VecHandle &v);
+
+    /**
+     * Charged row write: reinstalls rows captured from @p v by
+     * snapshotRows(), charging exactly as store() does. Columns
+     * beyond each segment's lanes get the snapshot's values back too.
+     */
+    void restoreRows(const VecHandle &v, const RowSnapshot &snap);
+
     /** Executes a unary operation: dst = op(a). */
     void run(OpKind op, const VecHandle &dst, const VecHandle &a);
 

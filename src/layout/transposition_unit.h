@@ -16,6 +16,11 @@
  *    subarray segment) for the column accesses;
  *  - the transposition network itself is pipelined with the transfer
  *    and adds no serialized latency.
+ *
+ * Row reads and writes (readRows/writeRows) move the same rows over
+ * the same channel and are charged exactly like a load/store of the
+ * same lanes; they only skip the host-side transposition, for callers
+ * (integrity snapshots and checks) that can work on vertical data.
  */
 
 #ifndef SIMDRAM_LAYOUT_TRANSPOSITION_UNIT_H
@@ -25,11 +30,62 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitrow.h"
 #include "common/stats.h"
 #include "dram/subarray.h"
 
 namespace simdram
 {
+
+/**
+ * The bit rows of one vector, captured segment by segment by a
+ * charged row read. Rows are copy-on-write aliases of the resident
+ * rows, so a snapshot costs O(1) per row and later writes to the
+ * device detach from it instead of changing it. Row columns at or
+ * beyond a segment's lane count may hold junk (whatever bit-serial
+ * execution left there) and are never read as data.
+ */
+struct RowSnapshot
+{
+    struct Segment
+    {
+        size_t lanes = 0;         ///< Valid lanes [0, lanes).
+        std::vector<BitRow> rows; ///< Row j: bit j of every lane.
+    };
+    std::vector<Segment> segments;
+};
+
+/**
+ * The integrity signature of a lane vector: the XOR fold of every
+ * lane and the total popcount. Any corruption confined to one lane
+ * flips both the fold and (except for compensating flips) the count;
+ * corruptions that preserve both alias.
+ */
+struct LaneSignature
+{
+    uint64_t fold = 0;
+    uint64_t pops = 0;
+
+    bool operator==(const LaneSignature &) const = default;
+};
+
+/** @return The signature of the @p n lanes at @p lanes. */
+LaneSignature laneSignature(const uint64_t *lanes, size_t n);
+
+/**
+ * @return The signature of @p s's lanes, computed on the rows: fold
+ *         bit j is the parity of row j's popcount over the valid
+ *         lanes of every segment, and pops is the sum of those
+ *         popcounts. Equal to laneSignature() of the transposed
+ *         lanes; junk beyond each segment's lanes is ignored.
+ */
+LaneSignature rowSignature(const RowSnapshot &s);
+
+/**
+ * Transposes @p s's valid lanes into @p out (room for every
+ * segment's lanes). Host-side only: the rows were paid for when read.
+ */
+void snapshotToLanes(const RowSnapshot &s, uint64_t *out);
 
 /** Converts host data to/from vertical layout with cost accounting. */
 class TranspositionUnit
@@ -49,6 +105,21 @@ class TranspositionUnit
     std::vector<uint64_t> loadVertical(const Subarray &sub,
                                        uint32_t base_row, size_t bits,
                                        size_t n);
+
+    /**
+     * Charged row read: @return aliases of rows
+     * [base_row, base_row + bits) of @p sub, charged exactly like
+     * loadVertical() of @p n lanes.
+     */
+    std::vector<BitRow> readRows(const Subarray &sub, uint32_t base_row,
+                                 size_t bits, size_t n);
+
+    /**
+     * Charged row write: reinstalls @p rows at [base_row, ...) of
+     * @p sub, charged exactly like storeVertical() of @p n lanes.
+     */
+    void writeRows(Subarray &sub, uint32_t base_row,
+                   const std::vector<BitRow> &rows, size_t n);
 
     /** @return Accumulated transfer statistics. */
     const DramStats &stats() const { return stats_; }

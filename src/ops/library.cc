@@ -65,58 +65,6 @@ signatureOf(OpKind op, size_t width)
     }
 }
 
-uint64_t
-referenceOp(OpKind op, size_t width, uint64_t a, uint64_t b, bool sel)
-{
-    const uint64_t mask =
-        width >= 64 ? ~0ULL : ((1ULL << width) - 1);
-    a &= mask;
-    b &= mask;
-    const uint64_t sign_bit = 1ULL << (width - 1);
-
-    switch (op) {
-      case OpKind::Abs:
-        return (a & sign_bit) ? ((~a + 1) & mask) : a;
-      case OpKind::Add:
-        return (a + b) & mask;
-      case OpKind::AndRed:
-        return a == mask ? 1 : 0;
-      case OpKind::Bitcount:
-        return static_cast<uint64_t>(std::popcount(a));
-      case OpKind::Div:
-        return b == 0 ? mask : (a / b);
-      case OpKind::Eq:
-        return a == b ? 1 : 0;
-      case OpKind::Ge:
-        return a >= b ? 1 : 0;
-      case OpKind::Gt:
-        return a > b ? 1 : 0;
-      case OpKind::IfElse:
-        return sel ? a : b;
-      case OpKind::Max:
-        return a > b ? a : b;
-      case OpKind::Min:
-        return a > b ? b : a;
-      case OpKind::Mul:
-        return (a * b) & mask;
-      case OpKind::OrRed:
-        return a != 0 ? 1 : 0;
-      case OpKind::Relu:
-        return (a & sign_bit) ? 0 : a;
-      case OpKind::Sub:
-        return (a - b) & mask;
-      case OpKind::XorRed:
-        return static_cast<uint64_t>(std::popcount(a)) & 1;
-      case OpKind::BitAnd:
-        return a & b;
-      case OpKind::BitOr:
-        return a | b;
-      case OpKind::BitXor:
-        return a ^ b;
-    }
-    panic("referenceOp: bad op");
-}
-
 Circuit
 buildOpCircuit(OpKind op, size_t width, GateStyle style)
 {

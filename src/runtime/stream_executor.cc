@@ -1,7 +1,6 @@
 #include "runtime/stream_executor.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -100,7 +99,7 @@ struct StreamExecutor::Worker
 
 /**
  * Per-device verification context of one in-flight stream: the
- * pre-stream snapshot of every operand shard this device touches
+ * pre-stream row snapshot of every operand shard this device touches
  * (restore source for retry / side-effect-free failure) and the
  * host-computed shadow of what a fault-free execution must produce.
  * Built once per job under the device lock; attempts re-verify
@@ -113,12 +112,25 @@ struct StreamExecutor::ShadowCtx
         Object *obj = nullptr;
         /** This device's shard of the object. */
         DeviceGroup::ShardView view;
-        /** Pre-stream vertical lanes (restore + shadow seed). */
-        std::vector<uint64_t> initLanes;
+        /** Pre-stream device rows (restore source, lazy seed). */
+        RowSnapshot initRows;
+        /**
+         * Expected post-stream vertical lanes. Empty until the shadow
+         * first reads the object (seeded from initRows) or an
+         * instruction overwrites it: an object the stream only writes
+         * is never transposed.
+         */
+        std::vector<uint64_t> shadow;
+        bool seeded = false;
+        /**
+         * Set once an instruction reads or writes the host-image
+         * slice (trsp, trsp_inv, init). Only such slices are copied,
+         * restored and checked: no other instruction writes the host
+         * image, so an untracked slice provably keeps its value.
+         */
+        bool hostTracked = false;
         /** Pre-stream host-image slice (restore + shadow seed). */
         std::vector<uint64_t> initHost;
-        /** Expected post-stream vertical lanes. */
-        std::vector<uint64_t> shadow;
         /** Expected post-stream host-image slice. */
         std::vector<uint64_t> shadowHost;
         /** True if any executed instruction writes the object. */
@@ -140,24 +152,6 @@ uint64_t
 laneMask(size_t bits)
 {
     return bits >= 64 ? ~0ULL : ((1ULL << bits) - 1);
-}
-
-/**
- * The Checksum-mode signature of a lane vector: an XOR fold plus the
- * total popcount. Any corruption confined to one lane flips both the
- * fold and (except for compensating flips) the count; corruptions
- * that preserve both folds alias — DualModular exists for those.
- */
-std::pair<uint64_t, uint64_t>
-foldSignature(const std::vector<uint64_t> &lanes)
-{
-    uint64_t fold = 0;
-    uint64_t pops = 0;
-    for (uint64_t w : lanes) {
-        fold ^= w;
-        pops += static_cast<uint64_t>(std::popcount(w));
-    }
-    return {fold, pops};
 }
 
 } // namespace
@@ -997,12 +991,12 @@ StreamExecutor::prepareShadow(size_t d,
                               const std::vector<PreparedInstr> &prog,
                               ShadowCtx &ctx)
 {
-    // Find-or-create the per-object context: the first touch loads
-    // the device lanes (snapshot doubling as the shadow seed) and
-    // copies this device's host-image slice. Returns an INDEX, not a
-    // reference: a first touch grows ctx.objs and would invalidate
-    // every outstanding ObjCtx reference, so each use below
-    // re-derives its reference after all operand touches are done.
+    // Find-or-create the per-object context: the first touch takes a
+    // charged row snapshot of the device shard (restore source and
+    // lazy shadow seed). Returns an INDEX, not a reference: a first
+    // touch grows ctx.objs and would invalidate every outstanding
+    // ObjCtx reference, so each use below re-derives its reference
+    // after all operand touches are done.
     auto touch = [&](Object *o,
                      const DeviceGroup::ShardView &v) -> size_t {
         auto it = ctx.index.find(o);
@@ -1010,21 +1004,47 @@ StreamExecutor::prepareShadow(size_t d,
             ShadowCtx::ObjCtx oc;
             oc.obj = o;
             oc.view = v;
-            oc.initLanes.resize(v.count);
             if (v.count != 0)
-                v.proc->loadInto(v.handle, oc.initLanes.data());
-            oc.initHost.assign(
-                o->hostImage.begin() +
-                    static_cast<std::ptrdiff_t>(v.offset),
-                o->hostImage.begin() +
-                    static_cast<std::ptrdiff_t>(v.offset + v.count));
-            oc.shadow = oc.initLanes;
-            oc.shadowHost = oc.initHost;
+                oc.initRows = v.proc->snapshotRows(v.handle);
             it = ctx.index.emplace(o, ctx.objs.size()).first;
             ctx.objs.push_back(std::move(oc));
         }
         return it->second;
     };
+    // The shadow lanes of an object the simulation must READ: an
+    // object not yet written in this stream is transposed from its
+    // snapshot now, once (host-side; the rows were charged above).
+    auto lanes = [&](size_t idx) -> std::vector<uint64_t> & {
+        ShadowCtx::ObjCtx &oc = ctx.objs[idx];
+        if (!oc.seeded) {
+            oc.shadow.resize(oc.view.count);
+            snapshotToLanes(oc.initRows, oc.shadow.data());
+            oc.seeded = true;
+        }
+        return oc.shadow;
+    };
+    // The shadow of the host-image slice, copied on first use. The
+    // simulation runs before execution, so the image still holds the
+    // pre-stream slice whenever this first runs.
+    auto host = [&](size_t idx) -> std::vector<uint64_t> & {
+        ShadowCtx::ObjCtx &oc = ctx.objs[idx];
+        if (!oc.hostTracked) {
+            const uint64_t *h =
+                oc.obj->hostImage.data() + oc.view.offset;
+            oc.initHost.assign(h, h + oc.view.count);
+            oc.shadowHost = oc.initHost;
+            oc.hostTracked = true;
+        }
+        return oc.shadowHost;
+    };
+    // The shadow lanes of an object an instruction fully OVERWRITES.
+    auto overwritten = [&](size_t idx) -> std::vector<uint64_t> & {
+        ShadowCtx::ObjCtx &oc = ctx.objs[idx];
+        oc.shadow.resize(oc.view.count);
+        oc.seeded = true;
+        return oc.shadow;
+    };
+    static const std::vector<uint64_t> kNoOperand;
 
     // Simulate the program in order against the shadow: simulation
     // order equals this device's execution order, and every device
@@ -1041,53 +1061,57 @@ StreamExecutor::prepareShadow(size_t d,
         const uint64_t mask = laneMask(pi.dst->bits);
         switch (in.opcode) {
           case BbopOpcode::Trsp: {
-            ShadowCtx::ObjCtx &dst = ctx.objs[dstIdx];
+            const std::vector<uint64_t> &h = host(dstIdx);
+            std::vector<uint64_t> &out = overwritten(dstIdx);
             for (size_t k = 0; k < dv.count; ++k)
-                dst.shadow[k] = dst.shadowHost[k] & mask;
+                out[k] = h[k] & mask;
             break;
           }
-          case BbopOpcode::TrspInv: {
-            ShadowCtx::ObjCtx &dst = ctx.objs[dstIdx];
-            dst.shadowHost = dst.shadow;
+          case BbopOpcode::TrspInv:
+            host(dstIdx) = lanes(dstIdx);
             break;
-          }
           case BbopOpcode::Init: {
-            ShadowCtx::ObjCtx &dst = ctx.objs[dstIdx];
             const uint64_t imm = in.initImmediate();
-            std::fill(dst.shadow.begin(), dst.shadow.end(),
-                      imm & mask);
+            std::vector<uint64_t> &out = overwritten(dstIdx);
+            std::fill(out.begin(), out.end(), imm & mask);
             // execOn writes the raw immediate into the host image.
-            std::fill(dst.shadowHost.begin(), dst.shadowHost.end(),
-                      imm);
+            std::vector<uint64_t> &h = host(dstIdx);
+            std::fill(h.begin(), h.end(), imm);
             break;
           }
           case BbopOpcode::ShiftL:
           case BbopOpcode::ShiftR: {
             const size_t srcIdx = touch(pi.src1, (*pi.src1V)[d]);
-            ShadowCtx::ObjCtx &dst = ctx.objs[dstIdx];
-            const ShadowCtx::ObjCtx &src = ctx.objs[srcIdx];
+            const std::vector<uint64_t> &src = lanes(srcIdx);
+            std::vector<uint64_t> &out = overwritten(dstIdx);
             const size_t k = static_cast<size_t>(in.sel);
             for (size_t e = 0; e < dv.count; ++e) {
-                const uint64_t v = src.shadow[e];
-                dst.shadow[e] = in.opcode == BbopOpcode::ShiftL
-                                    ? (k >= 64 ? 0 : (v << k)) & mask
-                                    : (k >= 64 ? 0 : v >> k);
+                const uint64_t v = src[e];
+                out[e] = in.opcode == BbopOpcode::ShiftL
+                             ? (k >= 64 ? 0 : (v << k)) & mask
+                             : (k >= 64 ? 0 : v >> k);
             }
             break;
           }
           case BbopOpcode::Op: {
             const auto sig = signatureOf(in.op, in.width);
             const size_t aIdx = touch(pi.src1, (*pi.src1V)[d]);
-            std::vector<uint64_t> b, sel;
-            if (sig.numInputs == 2)
-                b = ctx.objs[touch(pi.src2, (*pi.src2V)[d])].shadow;
-            if (sig.hasSel)
-                sel = ctx.objs[touch(pi.sel, (*pi.selV)[d])].shadow;
+            const size_t bIdx = sig.numInputs == 2
+                                    ? touch(pi.src2, (*pi.src2V)[d])
+                                    : aIdx;
+            const size_t selIdx =
+                sig.hasSel ? touch(pi.sel, (*pi.selV)[d]) : aIdx;
+            // Every touch is done: references into ctx.objs are
+            // stable from here on.
             std::vector<uint64_t> res = hostBulkOp(
-                in.op, in.width, ctx.objs[aIdx].shadow, b, sel);
+                in.op, in.width, lanes(aIdx),
+                sig.numInputs == 2 ? lanes(bIdx) : kNoOperand,
+                sig.hasSel ? lanes(selIdx) : kNoOperand);
             for (uint64_t &v : res)
                 v &= mask;
-            ctx.objs[dstIdx].shadow = std::move(res);
+            ShadowCtx::ObjCtx &dst = ctx.objs[dstIdx];
+            dst.shadow = std::move(res);
+            dst.seeded = true;
             break;
           }
         }
@@ -1103,8 +1127,7 @@ StreamExecutor::restoreJob(size_t d, const ShadowCtx &ctx)
     for (const ShadowCtx::ObjCtx &oc : ctx.objs) {
         if (!oc.written || oc.view.count == 0)
             continue;
-        oc.view.proc->store(oc.view.handle, oc.initLanes.data(),
-                            oc.view.count);
+        oc.view.proc->restoreRows(oc.view.handle, oc.initRows);
         std::copy(oc.initHost.begin(), oc.initHost.end(),
                   oc.obj->hostImage.begin() +
                       static_cast<std::ptrdiff_t>(oc.view.offset));
@@ -1152,20 +1175,26 @@ StreamExecutor::executeChecked(size_t d,
     for (const ShadowCtx::ObjCtx &oc : ctx.objs) {
         if (!oc.written || oc.view.count == 0)
             continue;
-        std::vector<uint64_t> cur(oc.view.count);
-        oc.view.proc->loadInto(oc.view.handle, cur.data());
-        std::vector<uint64_t> host(
-            oc.obj->hostImage.begin() +
-                static_cast<std::ptrdiff_t>(oc.view.offset),
-            oc.obj->hostImage.begin() +
-                static_cast<std::ptrdiff_t>(oc.view.offset +
-                                            oc.view.count));
+        const uint64_t *host =
+            oc.obj->hostImage.data() + oc.view.offset;
+        const size_t n = oc.view.count;
         bool ok;
-        if (dual)
-            ok = cur == oc.shadow && host == oc.shadowHost;
-        else
-            ok = foldSignature(cur) == foldSignature(oc.shadow) &&
-                 foldSignature(host) == foldSignature(oc.shadowHost);
+        if (dual) {
+            std::vector<uint64_t> cur(n);
+            oc.view.proc->loadInto(oc.view.handle, cur.data());
+            ok = cur == oc.shadow &&
+                 (!oc.hostTracked ||
+                  std::equal(host, host + n, oc.shadowHost.begin()));
+        } else {
+            // Same charged read as a load, but the signature comes
+            // straight from the rows: no transposition.
+            ok = rowSignature(oc.view.proc->snapshotRows(
+                     oc.view.handle)) ==
+                     laneSignature(oc.shadow.data(), n) &&
+                 (!oc.hostTracked ||
+                  laneSignature(host, n) ==
+                      laneSignature(oc.shadowHost.data(), n));
+        }
         if (!ok)
             return oc.lastWriter;
     }

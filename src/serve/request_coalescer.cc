@@ -306,23 +306,28 @@ RequestCoalescer::failSlots(
     // release, so the whole batch's admission budget is still held
     // when this runs; slots executeBatch already fulfilled (an escape
     // mid-slicing) keep their results — only the stranded ones get
-    // the error. Counters are best-effort on this path.
-    size_t newlyDone = 0;
+    // the error. Slots are fulfilled only on this (the dispatcher)
+    // thread, so the stranded set found here is final: bump the
+    // lifetime counters first, then release the budget and publish
+    // the error in one critical section, so a caller returning from
+    // wait() observes all of it already updated.
+    std::vector<detail::RequestState *> stranded;
     for (const auto &sp : slots) {
-        detail::RequestState &st = *sp;
-        std::lock_guard<std::mutex> lock(st.mu);
-        if (st.done)
-            continue;
-        st.error = err;
-        st.done = true;
-        ++newlyDone;
-        st.cv.notify_all();
+        std::lock_guard<std::mutex> lock(sp->mu);
+        if (!sp->done)
+            stranded.push_back(sp.get());
     }
-    completed_.fetch_add(newlyDone, std::memory_order_relaxed);
-    failed_.fetch_add(newlyDone, std::memory_order_relaxed);
+    completed_.fetch_add(stranded.size(), std::memory_order_relaxed);
+    failed_.fetch_add(stranded.size(), std::memory_order_relaxed);
     {
         MutexLock lock(mu_);
         pending_ -= slots.size();
+        for (detail::RequestState *st : stranded) {
+            std::lock_guard<std::mutex> slock(st->mu);
+            st->error = err;
+            st->done = true;
+            st->cv.notify_all();
+        }
     }
     admit_cv_.notify_all();
     drain_cv_.notify_all();
@@ -485,31 +490,35 @@ RequestCoalescer::executeBatch(Batch batch)
     batches_.fetch_add(1, std::memory_order_relaxed);
 
     // Fulfill the per-request futures: slice the batched output and
-    // stamp the latency breakdown on the end-to-end clock.
+    // stamp the latency breakdown on the end-to-end clock. The
+    // admission budget is released in the same critical section, so
+    // a caller returning from wait() no longer counts as pending and
+    // drain() never returns ahead of a future.
     const size_t n = spec.elements;
-    for (size_t r = 0; r < batch.reqs.size(); ++r) {
-        detail::RequestState &st = *batch.reqs[r].st;
-        std::lock_guard<std::mutex> lock(st.mu);
-        if (err) {
-            st.error = slotErr;
-        } else {
-            st.result.output.assign(
-                out.begin() + static_cast<std::ptrdiff_t>(r * n),
-                out.begin() +
-                    static_cast<std::ptrdiff_t>((r + 1) * n));
-            st.result.queueNs = nsBetween(st.arrival, dispatchT);
-            st.result.executeNs = nsBetween(dispatchT, doneT);
-            st.result.totalNs = nsBetween(st.arrival, doneT);
-            st.result.batchSize = batch.reqs.size();
-            st.result.batchStreams = streams;
-            latency_.record(st.result.totalNs);
-        }
-        st.done = true;
-        st.cv.notify_all();
-    }
-
     {
         MutexLock lock(mu_);
+        for (size_t r = 0; r < batch.reqs.size(); ++r) {
+            detail::RequestState &st = *batch.reqs[r].st;
+            std::lock_guard<std::mutex> slock(st.mu);
+            if (err) {
+                st.error = slotErr;
+            } else {
+                st.result.output.assign(
+                    out.begin() + static_cast<std::ptrdiff_t>(r * n),
+                    out.begin() +
+                        static_cast<std::ptrdiff_t>((r + 1) * n));
+                st.result.queueNs = nsBetween(st.arrival, dispatchT);
+                st.result.executeNs = nsBetween(dispatchT, doneT);
+                st.result.totalNs = nsBetween(st.arrival, doneT);
+                st.result.batchSize = batch.reqs.size();
+                st.result.batchStreams = streams;
+                latency_.record(st.result.totalNs);
+            }
+            st.done = true;
+            st.cv.notify_all();
+        }
+        // Last, so an escape mid-slicing leaves the budget held for
+        // failSlots to release.
         pending_ -= batch.reqs.size();
     }
     admit_cv_.notify_all();

@@ -574,8 +574,17 @@ TenantExecutor::dispatchNext()
         err = std::current_exception();
     }
 
+    // Publish under mu_ (lock order mu_ -> st.mu), after the
+    // rejection is accounted: a caller returning from wait() sees
+    // the failure in the tenant stats already.
+    MutexLock lock(mu_);
+    TenantState &t = *tenants_[tid];
+    if (err) {
+        ++t.stats.failed;
+        ++fleet_.failed;
+    }
     {
-        std::lock_guard<std::mutex> lock(job.st->mu);
+        std::lock_guard<std::mutex> slock(job.st->mu);
         job.st->dispatched = true;
         if (err) {
             job.st->error = err;
@@ -585,15 +594,10 @@ TenantExecutor::dispatchNext()
         }
         job.st->cv.notify_all();
     }
-
-    MutexLock lock(mu_);
     if (err) {
         // Rejected at validation: the executor enqueued nothing, so
         // the stream completes here — failed, isolated to its
         // tenant.
-        TenantState &t = *tenants_[tid];
-        ++t.stats.failed;
-        ++fleet_.failed;
         --t.inflight;
         t.admit_cv.notify_all();
         drain_cv_.notify_all();
@@ -762,15 +766,6 @@ TenantExecutor::reaperMain()
                         .count();
         const double e2e = res.e2eNs;
 
-        {
-            std::lock_guard<std::mutex> lock(st.mu);
-            if (err)
-                st.error = err;
-            st.result = std::move(res);
-            st.done = true;
-            st.cv.notify_all();
-        }
-
         // Classify the failure by type so a noisy device is visible
         // per tenant: integrity faults and missed deadlines get their
         // own counters next to the generic failed/shed split.
@@ -789,18 +784,20 @@ TenantExecutor::reaperMain()
         size_t faultsDetected = 0;
         bool retried = false;
         bool recovered = false;
-        // The per-segment results were moved into the shared state
-        // above; the reaper is their only writer, so this re-read is
-        // race-free (waiters only copy under st.mu).
-        for (const StreamResult &r : job.st->result.segments) {
+        for (const StreamResult &r : res.segments) {
             faultsDetected += r.faultsDetected;
             retried = retried || r.attempts > 1;
             recovered = recovered || r.recoveredOnDevice != -1;
         }
 
+        // Account first, then publish: a caller returning from
+        // wait() must observe its stream in the tenant and fleet
+        // stats already. The handle is published inside the same
+        // critical section (lock order mu_ -> st.mu; waiters only
+        // take st.mu), before inflight drops, so drain() never
+        // returns ahead of a handle either.
         MutexLock lock(mu_);
         TenantState &t = *tenants_[job.tid];
-        const TenantStreamResult &done = job.st->result;
         if (err) {
             ++t.stats.failed;
             ++fleet_.failed;
@@ -829,16 +826,24 @@ TenantExecutor::reaperMain()
         fleet_.faultsDetected += faultsDetected;
         // Chargeback accrues even on a failed stream: whatever
         // segments ran consumed real device work.
-        t.stats.compute = merge(t.stats.compute, done.compute);
-        t.stats.transfer = merge(t.stats.transfer, done.transfer);
-        t.stats.instructions += done.instructions;
-        t.stats.cachedInstructions += done.cachedInstructions;
-        t.stats.optimizedInstructions += done.optimizedInstructions;
-        fleet_.compute = merge(fleet_.compute, done.compute);
-        fleet_.transfer = merge(fleet_.transfer, done.transfer);
-        fleet_.instructions += done.instructions;
-        fleet_.cachedInstructions += done.cachedInstructions;
-        fleet_.optimizedInstructions += done.optimizedInstructions;
+        t.stats.compute = merge(t.stats.compute, res.compute);
+        t.stats.transfer = merge(t.stats.transfer, res.transfer);
+        t.stats.instructions += res.instructions;
+        t.stats.cachedInstructions += res.cachedInstructions;
+        t.stats.optimizedInstructions += res.optimizedInstructions;
+        fleet_.compute = merge(fleet_.compute, res.compute);
+        fleet_.transfer = merge(fleet_.transfer, res.transfer);
+        fleet_.instructions += res.instructions;
+        fleet_.cachedInstructions += res.cachedInstructions;
+        fleet_.optimizedInstructions += res.optimizedInstructions;
+        {
+            std::lock_guard<std::mutex> slock(st.mu);
+            if (err)
+                st.error = err;
+            st.result = std::move(res);
+            st.done = true;
+            st.cv.notify_all();
+        }
         --t.inflight;
         t.admit_cv.notify_all();
         drain_cv_.notify_all();

@@ -80,16 +80,24 @@ TEST(HostKernels, MatchesReferenceOp)
         b[i] = rng.next();
         sel[i] = rng.next() & 1;
     }
-    for (OpKind op : kAllOps) {
-        const auto sig = signatureOf(op, 16);
-        const auto out = hostBulkOp(
-            op, 16, a, sig.numInputs == 2 ? b : std::vector<uint64_t>(),
-            sig.hasSel ? sel : std::vector<uint64_t>());
-        for (size_t i = 0; i < 500; ++i) {
-            const uint64_t expect = referenceOp(
-                op, 16, a[i], sig.numInputs == 2 ? b[i] : 0,
-                sig.hasSel && (sel[i] & 1));
-            ASSERT_EQ(out[i], expect) << toString(op) << " " << i;
+    // Every operation (each has its own specialized bulk loop) at
+    // several widths.
+    std::vector<OpKind> ops(kAllOps.begin(), kAllOps.end());
+    ops.insert(ops.end(), kExtensionOps.begin(), kExtensionOps.end());
+    for (size_t width : {8, 16, 64}) {
+        for (OpKind op : ops) {
+            const auto sig = signatureOf(op, width);
+            const auto out = hostBulkOp(
+                op, width, a,
+                sig.numInputs == 2 ? b : std::vector<uint64_t>(),
+                sig.hasSel ? sel : std::vector<uint64_t>());
+            for (size_t i = 0; i < 500; ++i) {
+                const uint64_t expect = referenceOp(
+                    op, width, a[i], sig.numInputs == 2 ? b[i] : 0,
+                    sig.hasSel && (sel[i] & 1));
+                ASSERT_EQ(out[i], expect)
+                    << toString(op) << "." << width << " " << i;
+            }
         }
     }
 }

@@ -262,6 +262,187 @@ TEST(FaultTolerance, ExhaustedRetryBudgetIsTypedAndRestored)
 }
 
 // ---------------------------------------------------------------
+// Lazy shadow seeds and row restore
+// ---------------------------------------------------------------
+
+/**
+ * Runs @p stream over vertical objects holding @p init (one entry
+ * per object, every object n lanes x 8 bits) under @p mode:
+ *  - once with every TRA of the single device corrupted and one
+ *    attempt, which must fail typed and leave every host image and
+ *    every device row exactly as before;
+ *  - once on 4 devices with the first TRAs of device 0 corrupted and
+ *    two attempts, which must detect, restore, retry and end
+ *    bit-exact with @p expect (the post-stream host images).
+ */
+void
+expectRestoredAndRecovered(
+    IntegrityMode mode, size_t n,
+    const std::vector<std::vector<uint64_t>> &init,
+    const std::vector<BbopInstr> &stream,
+    const std::vector<std::vector<uint64_t>> &expect)
+{
+    auto setUp = [&](StreamExecutor &ex) {
+        std::vector<uint16_t> ids;
+        std::vector<BbopInstr> trsp;
+        for (const auto &data : init) {
+            ids.push_back(ex.defineObject(n, 8));
+            ex.writeObject(ids.back(), data);
+            trsp.push_back(BbopInstr::trsp(ids.back(), 8));
+        }
+        ex.submit(trsp).wait();
+        return ids;
+    };
+
+    {
+        SCOPED_TRACE("every TRA corrupted: fail typed, restore");
+        DeviceGroup g(testCfg(), 1);
+        StreamExecutor ex(g, faultOpts(mode, /*attempts=*/1));
+        const std::vector<uint16_t> ids = setUp(ex);
+        g.setFaultInjector(0, FaultInjector::statistical(1.0, 97));
+        EXPECT_THROW(ex.submit(stream).wait(), StreamFaultError);
+        g.setFaultInjector(0, nullptr);
+        std::vector<BbopInstr> readBack;
+        for (size_t k = 0; k < ids.size(); ++k) {
+            EXPECT_EQ(ex.readObject(ids[k]), init[k]) << "host d" << k;
+            readBack.push_back(BbopInstr::trspInv(ids[k], 8));
+        }
+        // The device rows came back too: transposing them out again
+        // (the rollback invalidated the stream cache, so these
+        // execute) reproduces the pre-stream images.
+        ex.submit(readBack).wait();
+        for (size_t k = 0; k < ids.size(); ++k)
+            EXPECT_EQ(ex.readObject(ids[k]), init[k]) << "rows d" << k;
+    }
+    {
+        SCOPED_TRACE("first TRAs corrupted: detect, retry, recover");
+        DeviceGroup g(testCfg(), 4);
+        StreamExecutor ex(g, faultOpts(mode, /*attempts=*/2));
+        const std::vector<uint16_t> ids = setUp(ex);
+        g.setFaultInjector(
+            0, FaultInjector::deterministic(FaultPlan{{0, 1, 2}}));
+        const StreamResult r = ex.submit(stream).wait();
+        EXPECT_EQ(r.attempts, 2u);
+        EXPECT_GE(r.faultsDetected, 1u);
+        EXPECT_EQ(r.recoveredOnDevice, -1);
+        for (size_t k = 0; k < ids.size(); ++k)
+            EXPECT_EQ(ex.readObject(ids[k]), expect[k]) << "d" << k;
+    }
+}
+
+/** Object ids in the order expectRestoredAndRecovered defines them. */
+constexpr uint16_t kObjA = 0, kObjY = 1;
+
+TEST(FaultTolerance, DestinationWrittenThenTrspInvIsRestoredAndRecovered)
+{
+    // y's first use is as the op's destination, so its shadow is
+    // never seeded from its snapshot; its trsp_inv reads the op's
+    // shadow, and a rollback reinstalls y's pre-stream rows. The
+    // trsp_inv of a, which the stream never writes, is the other
+    // kind of read: it seeds a's shadow from a's snapshot.
+    const size_t n = 700;
+    const auto da = randomData(n, 0xff, 101);
+    const auto dy = randomData(n, 0xff, 103);
+    std::vector<uint64_t> sum(n);
+    for (size_t i = 0; i < n; ++i)
+        sum[i] = (da[i] * 2) & 0xff;
+    const std::vector<BbopInstr> stream = {
+        BbopInstr::binary(OpKind::Add, 8, kObjY, kObjA, kObjA),
+        BbopInstr::trspInv(kObjY, 8), BbopInstr::trspInv(kObjA, 8)};
+    for (IntegrityMode mode :
+         {IntegrityMode::Checksum, IntegrityMode::DualModular}) {
+        SCOPED_TRACE(mode == IntegrityMode::Checksum ? "checksum"
+                                                     : "dual");
+        expectRestoredAndRecovered(mode, n, {da, dy}, stream,
+                                   {da, sum});
+    }
+}
+
+TEST(FaultTolerance, StreamTouchingOnlyDestinationsIsRestoredAndRecovered)
+{
+    // Every object's first use is as a destination (init, then the
+    // op), so no shadow is ever seeded from a snapshot: the shadow is
+    // built from the instructions alone, yet a rollback still
+    // reinstalls both objects' pre-stream rows and host images.
+    const size_t n = 700;
+    const uint64_t imm = 0x5a;
+    const auto da = randomData(n, 0xff, 107);
+    const auto dy = randomData(n, 0xff, 109);
+    const std::vector<BbopInstr> stream = {
+        BbopInstr::init(kObjA, 8, imm),
+        BbopInstr::binary(OpKind::Add, 8, kObjY, kObjA, kObjA),
+        BbopInstr::trspInv(kObjY, 8)};
+    for (IntegrityMode mode :
+         {IntegrityMode::Checksum, IntegrityMode::DualModular}) {
+        SCOPED_TRACE(mode == IntegrityMode::Checksum ? "checksum"
+                                                     : "dual");
+        expectRestoredAndRecovered(
+            mode, n, {da, dy}, stream,
+            {std::vector<uint64_t>(n, imm),
+             std::vector<uint64_t>(n, (imm * 2) & 0xff)});
+    }
+}
+
+/**
+ * A fixed Checksum stream over every instruction kind on two devices;
+ * with @p faulty, device 0's first TRAs are corrupted and the stream
+ * is restored and retried once.
+ */
+StreamResult
+pinnedChecksumStream(bool faulty)
+{
+    DeviceGroup g(testCfg(), 2);
+    StreamExecutor ex(g, faultOpts(IntegrityMode::Checksum, 2));
+    const size_t n = 700;
+    const uint16_t a = ex.defineObject(n, 8);
+    const uint16_t b = ex.defineObject(n, 8);
+    const uint16_t y = ex.defineObject(n, 8);
+    const uint16_t t = ex.defineObject(n, 8);
+    const uint16_t z = ex.defineObject(n, 8);
+    const uint16_t m = ex.defineObject(n, 1);
+    ex.writeObject(a, randomData(n, 0xff, 113));
+    ex.writeObject(b, randomData(n, 0xff, 127));
+    if (faulty)
+        g.setFaultInjector(
+            0, FaultInjector::deterministic(FaultPlan{{0, 1, 2}}));
+    const StreamResult r =
+        ex.submit({BbopInstr::trsp(a, 8), BbopInstr::trsp(b, 8),
+                   BbopInstr::binary(OpKind::Add, 8, y, a, b),
+                   BbopInstr::shift(true, 8, t, y, 3),
+                   BbopInstr::init(z, 8, 0x81),
+                   BbopInstr::binary(OpKind::Gt, 8, m, y, b),
+                   BbopInstr::predicated(OpKind::IfElse, 8, z, t, a, m),
+                   BbopInstr::trspInv(z, 8)})
+            .wait();
+    EXPECT_EQ(r.attempts, faulty ? 2u : 1u);
+    return r;
+}
+
+TEST(FaultTolerance, ChecksumModeledTransferIsPinned)
+{
+    // The integrity path's snapshots and verification reads are
+    // charged as transfer exactly like loads of the same lanes, and
+    // its restores exactly like stores, in the same order: however
+    // the host side works on the data, the modeled traffic of a
+    // checked stream is this.
+    struct Pin
+    {
+        bool faulty;
+        uint64_t activates, precharges, writes;
+        double latencyNs;
+    };
+    for (const Pin &p : {Pin{false, 318, 318, 318, 6429.9600000000009},
+                         Pin{true, 496, 496, 496, 11828.699999999995}}) {
+        SCOPED_TRACE(p.faulty ? "restored + retried" : "clean");
+        const StreamResult r = pinnedChecksumStream(p.faulty);
+        EXPECT_EQ(r.transfer.activates, p.activates);
+        EXPECT_EQ(r.transfer.precharges, p.precharges);
+        EXPECT_EQ(r.transfer.writes, p.writes);
+        EXPECT_EQ(r.transfer.latencyNs, p.latencyNs);
+    }
+}
+
+// ---------------------------------------------------------------
 // Quarantine recovery
 // ---------------------------------------------------------------
 

@@ -449,5 +449,155 @@ TEST(Processor, FreedHandleIsPoison)
     EXPECT_EQ(p.load(w), data);
 }
 
+// ---------------------------------------------------------------
+// Charged row snapshots and the row-domain signature
+// ---------------------------------------------------------------
+
+/** @return @p n random lanes of @p bits bits each. */
+std::vector<uint64_t>
+randomLanes(size_t n, size_t bits, uint64_t seed)
+{
+    const uint64_t mask = bits >= 64 ? ~0ULL : (1ULL << bits) - 1;
+    Rng rng(seed);
+    std::vector<uint64_t> v(n);
+    for (auto &x : v)
+        x = rng.next() & mask;
+    return v;
+}
+
+void
+expectSameCharge(const DramStats &a, const DramStats &b)
+{
+    EXPECT_EQ(a.activates, b.activates);
+    EXPECT_EQ(a.precharges, b.precharges);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.latencyNs, b.latencyNs);
+    EXPECT_EQ(a.energyPj, b.energyPj);
+}
+
+/** Sets every row column at or beyond each segment's lane count. */
+RowSnapshot
+withJunk(RowSnapshot s)
+{
+    for (RowSnapshot::Segment &seg : s.segments)
+        for (BitRow &row : seg.rows)
+            for (size_t i = seg.lanes; i < row.width(); ++i)
+                row.set(i, true);
+    return s;
+}
+
+// Lane counts over 256-lane segments: one partial segment, a full
+// segment plus 44 lanes, and two full segments plus one lane.
+constexpr size_t kSnapshotWidths[] = {1, 8, 16, 33, 64};
+constexpr size_t kSnapshotLanes[] = {100, 300, 513};
+
+TEST(RowSnapshot, SignatureMatchesLoadedLanes)
+{
+    for (size_t bits : kSnapshotWidths) {
+        for (size_t n : kSnapshotLanes) {
+            SCOPED_TRACE(std::to_string(bits) + " bits x " +
+                         std::to_string(n) + " lanes");
+            Processor p(testCfg());
+            const auto v = p.alloc(n, bits);
+            p.store(v, randomLanes(n, bits, bits * 1000 + n));
+            const auto lanes = p.load(v);
+            const RowSnapshot s = p.snapshotRows(v);
+            size_t lanesSeen = 0;
+            for (const RowSnapshot::Segment &seg : s.segments)
+                lanesSeen += seg.lanes;
+            ASSERT_EQ(lanesSeen, n);
+            EXPECT_EQ(s.segments.size(), (n + 255) / 256);
+            EXPECT_EQ(rowSignature(s), laneSignature(lanes.data(), n));
+            std::vector<uint64_t> back(n);
+            snapshotToLanes(s, back.data());
+            EXPECT_EQ(back, lanes);
+        }
+    }
+}
+
+TEST(RowSnapshot, JunkBeyondSegmentLanesIsIgnored)
+{
+    for (size_t bits : kSnapshotWidths) {
+        for (size_t n : kSnapshotLanes) {
+            SCOPED_TRACE(std::to_string(bits) + " bits x " +
+                         std::to_string(n) + " lanes");
+            Processor p(testCfg());
+            const auto v = p.alloc(n, bits);
+            p.store(v, randomLanes(n, bits, bits * 7 + n));
+            const auto lanes = p.load(v);
+            const RowSnapshot junk = withJunk(p.snapshotRows(v));
+            EXPECT_EQ(rowSignature(junk),
+                      laneSignature(lanes.data(), n));
+            // The junk columns are no data: restoring them leaves
+            // every lane as it was.
+            p.restoreRows(v, junk);
+            EXPECT_EQ(p.load(v), lanes);
+        }
+    }
+}
+
+TEST(RowSnapshot, JunkLeftByExecutionIsIgnored)
+{
+    // Stores zero the columns beyond the last segment's lanes, and
+    // Eq of two zero columns is 1: the 1-bit result carries junk
+    // there that a load never sees.
+    for (size_t bits : {size_t{8}, size_t{33}}) {
+        Processor p(testCfg());
+        const size_t n = 300;
+        const auto a = p.alloc(n, bits);
+        const auto b = p.alloc(n, bits);
+        const auto y = p.alloc(n, 1);
+        p.store(a, randomLanes(n, bits, 3));
+        auto db = randomLanes(n, bits, 4);
+        db[7] = p.load(a)[7]; // at least one equal lane
+        p.store(b, db);
+        p.run(OpKind::Eq, y, a, b);
+        const RowSnapshot s = p.snapshotRows(y);
+        const RowSnapshot::Segment &last = s.segments.back();
+        ASSERT_LT(last.lanes, last.rows[0].width());
+        ASSERT_TRUE(last.rows[0].get(last.lanes)) << "no junk to ignore";
+        const auto lanes = p.load(y);
+        EXPECT_EQ(rowSignature(s), laneSignature(lanes.data(), n));
+    }
+}
+
+TEST(RowSnapshot, ChargedExactlyLikeLoadAndStore)
+{
+    const size_t n = 513;
+    const size_t bits = 16;
+    const auto data = randomLanes(n, bits, 11);
+    Processor byLanes(testCfg());
+    Processor byRows(testCfg());
+    const auto v1 = byLanes.alloc(n, bits);
+    const auto v2 = byRows.alloc(n, bits);
+    byLanes.store(v1, data);
+    byRows.store(v2, data);
+
+    std::vector<uint64_t> loaded(n);
+    byLanes.loadInto(v1, loaded.data());
+    const RowSnapshot snap = byRows.snapshotRows(v2);
+    expectSameCharge(byLanes.transferStats(), byRows.transferStats());
+
+    // The snapshot is a copy-on-write alias: overwriting the device
+    // rows leaves it intact, and restoring it is charged as a store.
+    byRows.store(v2, randomLanes(n, bits, 12));
+    byLanes.store(v1, randomLanes(n, bits, 12));
+    byLanes.store(v1, loaded);
+    byRows.restoreRows(v2, snap);
+    expectSameCharge(byLanes.transferStats(), byRows.transferStats());
+    EXPECT_EQ(byRows.load(v2), data);
+}
+
+TEST(RowSnapshot, RestoreRejectsForeignShape)
+{
+    Processor p(testCfg());
+    const auto a = p.alloc(300, 8);
+    const auto b = p.alloc(300, 16);
+    const auto c = p.alloc(100, 8);
+    EXPECT_THROW(p.restoreRows(b, p.snapshotRows(a)), FatalError);
+    EXPECT_THROW(p.restoreRows(c, p.snapshotRows(a)), FatalError);
+}
+
 } // namespace
 } // namespace simdram
