@@ -20,8 +20,10 @@
  *  - layout       — Unknown / Horizontal / Vertical, mirroring the
  *    executor's layout commit rules (full vertical writes establish
  *    the vertical layout);
- *  - const-ness   — whether both images provably hold one broadcast
- *    constant (the same facts the trsp/init hoisting pass computes);
+ *  - coherence    — whether the two images coincide and provably
+ *    hold one broadcast constant, evolved by coherenceStep
+ *    (stream/coherence.h), the function the hoisting pass and the
+ *    runtime stream cache use;
  *  - last writer  — the node index that last wrote each location.
  *
  * Lint rules evaluate against that state and emit typed
@@ -70,10 +72,10 @@ enum class LintRule : uint8_t
     /** Write overwritten before any read of it (end-of-program is
      *  live-out for both locations, exactly as in the DWE pass). */
     DeadWrite,
-    /** trsp/trsp_inv whose images already coincide — the hoisting
-     *  pass should have elided it. */
+    /** trsp/trsp_inv whose images already coincide: coherenceStep
+     *  returns true, so the hoisting pass should have elided it. */
     RedundantTrsp,
-    /** init re-broadcasting a constant already in place. */
+    /** init re-broadcasting a constant already in place (likewise). */
     RedundantInit,
     /** Operation or shift whose destination aliases a source. */
     SelfAlias,

@@ -344,6 +344,12 @@ DeviceGroup::mutationGen(const ShardedVec &v) const
     return state(v).gen.load(std::memory_order_relaxed);
 }
 
+const std::atomic<uint64_t> *
+DeviceGroup::mutationGenCounter(const ShardedVec &v) const
+{
+    return &state(v).gen;
+}
+
 void
 DeviceGroup::noteExternalMutation(const ShardedVec &v) const
 {

@@ -208,6 +208,15 @@ class DeviceGroup
     uint64_t mutationGen(const ShardedVec &v) const;
 
     /**
+     * @return The counter mutationGen(@p v) reads. It lives as long as
+     *         the group (a released vector keeps its counter), so a
+     *         caller may keep the pointer and poll it with one relaxed
+     *         load, without the vector-table lock.
+     */
+    const std::atomic<uint64_t> *mutationGenCounter(
+        const ShardedVec &v) const;
+
+    /**
      * Declares that @p v's device rows were rewritten OUTSIDE the
      * DeviceGroup API (direct Processor stores), bumping its mutation
      * generation so every generation-tagged cache of derived state

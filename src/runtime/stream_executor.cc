@@ -46,6 +46,8 @@ struct StreamExecutor::Object
     std::vector<uint64_t> hostImage;
     /** Sharded vertical storage, reserved at defineObject(). */
     ShardedVec vec;
+    /** The counter behind DeviceGroup::mutationGen(vec). */
+    const std::atomic<uint64_t> *gen = nullptr;
     /** Layout shadow state, guarded by submit_mu_. */
     bool vertical = false;
     /** Stream-cache shadow state, guarded by submit_mu_. */
@@ -69,6 +71,8 @@ struct StreamExecutor::PreparedInstr
     BbopInstr instr;
     /** Elided by the stream cache: workers skip it entirely. */
     bool skip = false;
+    /** The dst generation the elision relies on (see workerMain). */
+    uint64_t elidedGen = 0;
     Object *dst = nullptr;
     Object *src1 = nullptr;
     Object *src2 = nullptr;
@@ -322,6 +326,7 @@ StreamExecutor::defineObject(size_t elements, size_t bits)
     // alloc happens before submit_mu_ so defineObject never nests
     // the device mutexes inside the submit lock.
     obj->vec = group_->alloc(elements, bits);
+    obj->gen = group_->mutationGenCounter(obj->vec);
     MutexLock lock(submit_mu_);
     if (objects_.size() >= kNoObject)
         fatal("StreamExecutor: object table full");
@@ -360,18 +365,13 @@ StreamExecutor::writeObject(uint16_t id,
     if (data.size() != obj.elements)
         fatal("StreamExecutor::writeObject: element count mismatch");
     obj.hostImage = data;
-    obj.cache.hasConst = false;
-    if (obj.vertical) {
-        // Keep the vertical copy coherent, as the dispatcher does on
-        // a horizontal write to a transposed object — which also
-        // means a subsequent trsp of this object is redundant and
-        // the stream cache may elide it.
+    // Keep the vertical copy coherent, as the dispatcher does on a
+    // horizontal write to a transposed object — which also means a
+    // subsequent trsp of this object is redundant.
+    if (obj.vertical)
         group_->store(obj.vec, obj.hostImage);
-        obj.cache.vertClean = true;
-        obj.cache.cleanGen = group_->mutationGen(obj.vec);
-    } else {
-        obj.cache.vertClean = false;
-    }
+    obj.cache = {CoherenceFact{.mirror = obj.vertical},
+                 obj.gen->load(std::memory_order_relaxed)};
 }
 
 std::vector<uint64_t>
@@ -416,14 +416,6 @@ StreamExecutor::resolveSegment(
 
     size_t cached_trsp = 0;
     size_t cached_init = 0;
-    const bool use_cache = opts_.enableStreamCache;
-    // An entry is only trustworthy while no out-of-band DeviceGroup
-    // write touched the backing vector since it was recorded.
-    auto cacheValid = [&](const Object *o, const CacheState &cs) {
-        return cs.vertClean &&
-               cs.cleanGen == group_->mutationGen(o->vec);
-    };
-
     std::vector<PreparedInstr> out;
     out.reserve(seg.size());
     for (const BbopInstr &in : seg) {
@@ -455,53 +447,13 @@ StreamExecutor::resolveSegment(
 
         // Stream-cache decision (submission order == execution
         // order, so this pass sees exactly the state each
-        // instruction will observe). A redundant trsp/trsp_inv/init
-        // is marked skip; every executed instruction updates the
-        // scratch shadow.
-        switch (in.opcode) {
-          case BbopOpcode::Trsp:
-          case BbopOpcode::TrspInv: {
-            CacheState &cs = cache[in.dst];
-            if (use_cache && cacheValid(pi.dst, cs)) {
-                // Vertical and horizontal images already coincide:
-                // re-running either transposition rewrites identical
-                // data.
-                pi.skip = true;
-                ++cached_trsp;
-                break;
-            }
-            if (in.opcode == BbopOpcode::TrspInv)
-                cs.hasConst = false; // host := unknown vertical data
-            cs.vertClean = true;
-            cs.cleanGen = group_->mutationGen(pi.dst->vec);
-            break;
-          }
-          case BbopOpcode::Init: {
-            CacheState &cs = cache[in.dst];
-            const uint64_t imm = in.initImmediate();
-            if (use_cache && cacheValid(pi.dst, cs) && cs.hasConst &&
-                cs.constVal == imm) {
-                pi.skip = true;
-                ++cached_init;
-                break;
-            }
-            cs.hasConst = true;
-            cs.constVal = imm;
-            cs.vertClean = true;
-            cs.cleanGen = group_->mutationGen(pi.dst->vec);
-            break;
-          }
-          case BbopOpcode::ShiftL:
-          case BbopOpcode::ShiftR:
-          case BbopOpcode::Op: {
-            // The op writes the destination's vertical storage only:
-            // the horizontal image goes stale and any constant-ness
-            // is gone.
-            CacheState &cs = cache[in.dst];
-            cs.vertClean = false;
-            cs.hasConst = false;
-            break;
-          }
+        // instruction will observe).
+        CacheState &cs = cache[in.dst];
+        if (coherenceStep(cs.fact, in) && opts_.enableStreamCache) {
+            pi.skip = true;
+            pi.elidedGen = cs.gen;
+            ++(in.opcode == BbopOpcode::Init ? cached_init
+                                             : cached_trsp);
         }
 
         // Attach every operand's per-device shard views, so the
@@ -655,10 +607,15 @@ StreamExecutor::submitLocked(const StreamIR &ir,
     }
 
     // Resolve every segment against one shared stream-cache scratch
-    // (committed only on acceptance) and one shared view cache.
+    // (committed only on acceptance) and one shared view cache. An
+    // object whose vector was written behind the cache's back since
+    // its fact was recorded enters unknown.
     std::vector<CacheState> cache(objects_.size());
-    for (size_t i = 0; i < objects_.size(); ++i)
-        cache[i] = objects_[i]->cache;
+    for (size_t i = 0; i < objects_.size(); ++i) {
+        const Object &o = *objects_[i];
+        const uint64_t gen = o.gen->load(std::memory_order_relaxed);
+        cache[i] = o.cache.gen == gen ? o.cache : CacheState{{}, gen};
+    }
     std::map<const Object *, PreparedInstrViews> views;
     std::vector<PreparedSegment> prepared;
     prepared.reserve(segs.size());
@@ -806,6 +763,22 @@ StreamExecutor::workerMain(size_t d)
         int recoveredOn = -1;
         {
             auto devlock = group_->lockDevice(d);
+            // An elision decided at submit rests on its destination's
+            // generation then. If that moved since (a stream queued
+            // ahead was rolled back or dropped by its deadline), run
+            // the elided instructions: the cache-off program runs them.
+            for (const PreparedInstr &pi : *job.prog) {
+                if (!pi.skip ||
+                    pi.elidedGen ==
+                        pi.dst->gen->load(std::memory_order_relaxed))
+                    continue;
+                auto all = std::make_shared<std::vector<PreparedInstr>>(
+                    *job.prog);
+                for (PreparedInstr &p : *all)
+                    p.skip = false;
+                job.prog = std::move(all);
+                break;
+            }
             const DramStats c0 = group_->deviceComputeStats(d);
             const DramStats t0 = group_->deviceTransferStats(d);
             err = runJob(d, devlock, *job.state, *job.prog, attempts,
@@ -875,8 +848,13 @@ StreamExecutor::runJob(size_t d,
             " exceeded its " + std::to_string(opts_.deadlineUs) +
             "us deadline on device d" + std::to_string(d)));
     };
-    if (auto e = deadlineError())
+    if (auto e = deadlineError()) {
+        // The stream never runs here: void the stream-cache facts it
+        // committed at submit for everything it would have written.
+        for (const PreparedInstr &pi : prog)
+            group_->noteExternalMutation(pi.dst->vec);
         return e;
+    }
 
     // A quarantined device goes straight to the fallback path: its
     // TRA-free instructions are trustworthy, its bbop ops are not.

@@ -45,16 +45,19 @@
  *  - writeObject()/readObject() synchronize (drain all pending
  *    streams) before touching host images.
  *  - Stream cache (StreamExecutorOptions::enableStreamCache, on by
- *    default): repeated bbop_trsp / bbop_trsp_inv / bbop_init of
- *    objects whose tracked state proves them redundant are elided at
- *    submit() time — within one stream and across streams — with
- *    generation-tagged invalidation on every write (bbop op/shift/
- *    init outputs, writeObject, and out-of-band DeviceGroup writes
- *    via mutationGen()). Memory state is bit-exact with the cache
- *    off; only the per-stream DramStats shrink. Pipelined apps that
- *    resubmit self-contained streams (knn re-transposing its
- *    reference set per query, nn re-broadcasting weights per tile)
- *    stop paying for data that has not changed.
+ *    default): a bbop_trsp / bbop_trsp_inv / bbop_init whose effect
+ *    is already in place is elided at submit() time, within one
+ *    stream and across streams. The rule is coherenceStep
+ *    (stream/coherence.h), shared with the hoisting pass and the
+ *    lint. An object's fact is reset to unknown when its vector's
+ *    DeviceGroup::mutationGen() moved (an out-of-band write, or a
+ *    failed stream's rollback); a job whose elisions rest on a
+ *    generation that moved between submit and execution runs its
+ *    elided instructions. Memory state is bit-exact with the cache
+ *    off, under faults too; only the per-stream DramStats shrink.
+ *    Pipelined apps that resubmit self-contained streams (knn
+ *    re-transposing its reference set per query, nn re-broadcasting
+ *    weights per tile) stop paying for data that has not changed.
  *  - Optimizer passes (src/stream/passes.h): every submitted program
  *    — a raw instruction vector lifted to a one-segment StreamIR, or
  *    a multi-segment IR from StreamBuilder — runs through the pass
@@ -94,6 +97,7 @@
 #include "isa/bbop.h"
 #include "isa/validate.h"
 #include "runtime/device_group.h"
+#include "stream/coherence.h"
 #include "stream/stream_ir.h"
 
 namespace simdram
@@ -259,17 +263,17 @@ struct StreamExecutorOptions
     BackpressurePolicy onFull = BackpressurePolicy::Block;
     /**
      * Stream-level trsp/init cache: when enabled, submit() elides
-     * instructions that are provably redundant against the objects'
-     * tracked layout/content state — a bbop_trsp (or trsp_inv) of an
-     * object whose vertical and horizontal images are already
-     * coherent, or a bbop_init re-broadcasting the value the object
-     * already holds everywhere. Elision is decided in submission
-     * order, tagged with the DeviceGroup mutation generation of the
-     * backing vector (any out-of-band synchronous write invalidates),
-     * and is invisible except in statistics: memory state is
-     * bit-exact with the cache disabled, per-stream DramStats simply
-     * stop paying for re-transposes of unchanged data. Skipped
-     * instructions are reported in StreamResult::cachedInstructions.
+     * every instruction coherenceStep (stream/coherence.h) finds
+     * already in place — a bbop_trsp (or trsp_inv) of an object whose
+     * vertical and horizontal images coincide, or a bbop_init
+     * re-broadcasting the value the object already holds everywhere.
+     * Elision is decided in submission order, tagged with the
+     * DeviceGroup mutation generation of the backing vector (any
+     * out-of-band synchronous write or rollback invalidates), and is
+     * invisible except in statistics: memory state is bit-exact with
+     * the cache disabled, per-stream DramStats simply stop paying for
+     * re-transposes of unchanged data. Skipped instructions are
+     * reported in StreamResult::cachedInstructions.
      */
     bool enableStreamCache = true;
     /**
@@ -363,10 +367,12 @@ struct StreamResult
     /** Number of instructions in the stream (as submitted). */
     size_t instructions = 0;
     /**
-     * Of those, how many the stream cache elided as redundant
-     * (always 0 when the cache is disabled). Elided instructions
-     * contribute nothing to the compute/transfer stats. Always
-     * cachedTrspInstructions + cachedInitInstructions.
+     * Of those, how many the stream cache elided as redundant at
+     * submit (always 0 when the cache is disabled). Elided
+     * instructions contribute nothing to the compute/transfer stats.
+     * Always cachedTrspInstructions + cachedInitInstructions. These
+     * count submit-time decisions: a job that finds a generation its
+     * elisions rest on moved runs them anyway and still counts them.
      */
     size_t cachedInstructions = 0;
     /** Transposition elisions (bbop_trsp / bbop_trsp_inv) of those. */
@@ -680,20 +686,16 @@ class StreamExecutor : public StreamService, private BbopObjectView
         std::shared_ptr<const std::vector<DeviceGroup::ShardView>>;
 
     /**
-     * Cache-relevant shadow state of one object, tracked in
-     * submission order under submit_mu_ (which matches execution:
-     * every device runs streams in submission order, and host
-     * accesses drain first).
+     * Stream-cache state of one object, tracked in submission order
+     * under submit_mu_ (which matches execution: every device runs
+     * streams in submission order, and host accesses drain first).
+     * The fact holds while the backing vector's mutation generation
+     * still equals gen; submitLocked() resets it to unknown otherwise.
      */
     struct CacheState
     {
-        /** Vertical storage holds exactly the horizontal image. */
-        bool vertClean = false;
-        /** Both images hold the broadcast constant constVal. */
-        bool hasConst = false;
-        uint64_t constVal = 0;
-        /** DeviceGroup::mutationGen() when vertClean was set. */
-        uint64_t cleanGen = 0;
+        CoherenceFact fact;
+        uint64_t gen = 0;
     };
 
     /** One lowered segment, resolved but not yet committed. */
@@ -723,9 +725,9 @@ class StreamExecutor : public StreamService, private BbopObjectView
     /**
      * Resolves one already-validated segment into per-instruction
      * object pointers and shard views, deciding stream-cache elisions
-     * against @p cache (a scratch copy of the per-object shadows,
-     * shared across a submission's segments and committed by the
-     * caller only on acceptance). Touches no executor state.
+     * by coherenceStep over @p cache (a scratch copy of the per-object
+     * states, shared across a submission's segments and committed by
+     * the caller only on acceptance). Touches no executor state.
      */
     PreparedSegment resolveSegment(
         const std::vector<BbopInstr> &seg,

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "stream/coherence.h"
+
 namespace simdram
 {
 
@@ -27,73 +29,20 @@ objectBound(const StreamIR &ir)
 
 /**
  * Forward scan removing trsp/trsp_inv/init instructions whose effect
- * is already in place. Tracks, per object, whether the vertical and
- * host images coincide and whether they hold a known broadcast
- * constant — the same state machine as the runtime stream cache
- * (stream_executor.cc), but static over the whole submitted program,
- * so it fires within one submission where the runtime cache only
- * fires across them. Entry state is all-unknown: nothing is assumed
- * about images produced before this program.
+ * is already in place (coherenceStep returns true). Entry state is
+ * all-unknown: nothing is assumed about images produced before this
+ * program, so it fires within one submission where the runtime
+ * stream cache also fires across them.
  */
 size_t
 hoistPass(StreamIR &ir)
 {
-    struct Fact
-    {
-        bool mirror = false;   ///< vert image == host image.
-        bool hasConst = false; ///< Both hold this broadcast constant.
-        uint64_t constVal = 0;
-    };
-    std::vector<Fact> facts(objectBound(ir));
-
+    std::vector<CoherenceFact> facts(objectBound(ir));
     size_t hoisted = 0;
     for (auto &n : ir.nodes) {
-        if (n.dead)
-            continue;
-        const BbopInstr &in = n.instr;
-        switch (in.opcode) {
-          case BbopOpcode::Trsp: {
-            Fact &f = facts[in.dst];
-            if (f.mirror) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-            }
-            break;
-          }
-          case BbopOpcode::TrspInv: {
-            Fact &f = facts[in.dst];
-            if (f.mirror) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-                f.hasConst = false;
-            }
-            break;
-          }
-          case BbopOpcode::Init: {
-            Fact &f = facts[in.dst];
-            const uint64_t imm = in.initImmediate();
-            if (f.mirror && f.hasConst && f.constVal == imm) {
-                n.dead = true;
-                ++hoisted;
-            } else {
-                f.mirror = true;
-                f.hasConst = true;
-                f.constVal = imm;
-            }
-            break;
-          }
-          case BbopOpcode::Op:
-          case BbopOpcode::ShiftL:
-          case BbopOpcode::ShiftR: {
-            Fact &f = facts[in.dst];
-            f.mirror = false;
-            f.hasConst = false;
-            break;
-          }
+        if (!n.dead && coherenceStep(facts[n.instr.dst], n.instr)) {
+            n.dead = true;
+            ++hoisted;
         }
     }
     return hoisted;

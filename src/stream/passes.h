@@ -7,9 +7,9 @@
  *
  *   1. trsp/init hoisting — a forward scan that removes transpose
  *      and constant-fill instructions whose effect is already in
- *      place (the static, whole-program generalization of the
- *      runtime's cross-submission stream cache, which stays as the
- *      dynamic backstop);
+ *      place, by coherenceStep (stream/coherence.h) from an
+ *      all-unknown entry state; the runtime stream cache applies the
+ *      same function across submissions;
  *   2. dead-write elimination — a backward scan over the
  *      effectsOf() read/write sets that removes instructions whose
  *      every written location is overwritten before any read;

@@ -428,9 +428,40 @@ struct ProgramGen
 TEST(TranslationValidationTest, AllPassCombosPreserveFactsRandomized)
 {
     const BbopObjectTable t = smallTable();
+    size_t totalKills = 0;
     for (uint64_t seed = 1; seed <= 8; ++seed) {
         const std::vector<BbopInstr> prog =
             ProgramGen(seed).make(24);
+
+        // The three consumers of coherenceStep agree from an unknown
+        // entry state: the hoisting pass kills exactly the nodes the
+        // lint flags Redundant*, and a fresh executor's stream cache
+        // elides as many, bit-exact with the cache off.
+        StreamIR hoisted = StreamIR::lift(prog);
+        const size_t kills =
+            runPasses(hoisted, PassOptions{true, false, false}).hoisted;
+        totalKills += kills;
+        std::vector<bool> flagged(prog.size(), false);
+        for (const StreamDiagnostic &d :
+             analyze(prog, t).diagnostics)
+            if (d.rule == LintRule::RedundantTrsp ||
+                d.rule == LintRule::RedundantInit)
+                flagged[d.node] = true;
+        for (size_t n = 0; n < prog.size(); ++n)
+            EXPECT_EQ(hoisted.nodes[n].dead, flagged[n])
+                << "seed " << seed << " node " << n;
+        testutil::DiffRig rig(2, noPassesOpts(true), noPassesOpts(false));
+        for (uint16_t i = 0; i < 4; ++i) {
+            rig.define(16, 8);
+            rig.write(i, randomData(16, 0xff, seed * 10 + i));
+        }
+        const StreamResult cached = rig.run(prog).first;
+        EXPECT_EQ(cached.cachedTrspInstructions +
+                      cached.cachedInitInstructions,
+                  kills)
+            << "seed " << seed;
+        rig.expectSameImages();
+
         for (unsigned combo = 0; combo < 8; ++combo) {
             const PassOptions popts{(combo & 1) != 0,
                                     (combo & 2) != 0,
@@ -465,6 +496,7 @@ TEST(TranslationValidationTest, AllPassCombosPreserveFactsRandomized)
             }
         }
     }
+    EXPECT_GT(totalKills, 0u) << "the agreement check saw no elision";
 }
 
 TEST(TranslationValidationTest, ValidatedExecutorMatchesReference)

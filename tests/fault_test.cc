@@ -443,6 +443,127 @@ TEST(FaultTolerance, ChecksumModeledTransferIsPinned)
 }
 
 // ---------------------------------------------------------------
+// Stream-cache elision across rolled-back streams
+// ---------------------------------------------------------------
+
+TEST(FaultTolerance, RolledBackInitLeavesNoStaleConstant)
+{
+    // A failed stream committed "y holds 5 in both images" at submit;
+    // its rollback restores y to 0. A later trsp makes the images
+    // agree again, but on 0: the init that follows must run.
+    for (bool cache : {true, false}) {
+        SCOPED_TRACE(cache ? "cache on" : "cache off");
+        DeviceGroup g(testCfg(), 1);
+        StreamExecutorOptions o =
+            faultOpts(IntegrityMode::Checksum, /*attempts=*/1);
+        o.enableStreamCache = cache;
+        StreamExecutor ex(g, o);
+        const size_t n = 100;
+        const uint16_t a = ex.defineObject(n, 8);
+        const uint16_t y = ex.defineObject(n, 8);
+        const uint16_t z = ex.defineObject(n, 8);
+        ex.writeObject(a, randomData(n, 0xff, 131));
+        ex.submit({BbopInstr::trsp(a, 8)}).wait();
+
+        g.setFaultInjector(0, FaultInjector::statistical(1.0, 137));
+        EXPECT_THROW(
+            ex.submit({BbopInstr::init(y, 8, 5),
+                       BbopInstr::binary(OpKind::Add, 8, z, a, a)})
+                .wait(),
+            StreamFaultError);
+        g.setFaultInjector(0, nullptr);
+        EXPECT_EQ(ex.readObject(y), std::vector<uint64_t>(n, 0));
+
+        // Separate submissions, so dead-write elimination cannot
+        // remove the trsp.
+        ex.submit({BbopInstr::trsp(y, 8)}).wait();
+        const StreamResult r =
+            ex.submit({BbopInstr::init(y, 8, 5)}).wait();
+        EXPECT_EQ(r.cachedInitInstructions, 0u);
+        EXPECT_EQ(ex.readObject(y), std::vector<uint64_t>(n, 5));
+    }
+}
+
+TEST(FaultTolerance, ElisionOnAFailedInFlightStreamIsUndone)
+{
+    // s2's trsp(x) is elided at submit on the strength of s1's. Both
+    // are queued behind a pinned device; s1 then fails and rolls x's
+    // rows back, so s2 must run its trsp after all.
+    for (bool cache : {true, false}) {
+        SCOPED_TRACE(cache ? "cache on" : "cache off");
+        DeviceGroup g(testCfg(), 1);
+        g.setFaultInjector(
+            0, FaultInjector::deterministic(FaultPlan{{0, 1, 2}}));
+        StreamExecutorOptions o =
+            faultOpts(IntegrityMode::Checksum, /*attempts=*/1);
+        o.enableStreamCache = cache;
+        StreamExecutor ex(g, o);
+        const size_t n = 100;
+        const auto dx = randomData(n, 0xff, 139);
+        const uint16_t x = ex.defineObject(n, 8);
+        const uint16_t z = ex.defineObject(n, 8);
+        const uint16_t w = ex.defineObject(n, 8);
+        ex.writeObject(x, dx);
+
+        StreamHandle h1, h2;
+        {
+            DevicePin pin(g, 0);
+            h1 = ex.submit({BbopInstr::trsp(x, 8),
+                            BbopInstr::binary(OpKind::Add, 8, z, x, x)});
+            h2 = ex.submit({BbopInstr::trsp(x, 8),
+                            BbopInstr::binary(OpKind::Add, 8, w, x, x),
+                            BbopInstr::trspInv(w, 8)});
+        }
+        EXPECT_THROW(h1.wait(), StreamFaultError);
+        const StreamResult r2 = h2.wait();
+        EXPECT_EQ(r2.attempts, 1u);
+        EXPECT_EQ(r2.faultsDetected, 0u);
+        // The counter reports the submit-time decision.
+        EXPECT_EQ(r2.cachedTrspInstructions, cache ? 1u : 0u);
+        const auto out = ex.readObject(w);
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(out[i], (dx[i] * 2) & 0xff) << i;
+    }
+}
+
+TEST(FaultTolerance, DeadlineDroppedStreamLeavesNoStaleElision)
+{
+    // s1's trsp(x) never runs: its deadline expires behind a pinned
+    // device. The later trsp(x) must not be elided on its strength.
+    for (bool cache : {true, false}) {
+        SCOPED_TRACE(cache ? "cache on" : "cache off");
+        DeviceGroup g(testCfg(), 1);
+        // Generous enough that the unpinned follow-up stream meets it
+        // even under a sanitizer on a loaded host.
+        StreamExecutorOptions o =
+            faultOpts(IntegrityMode::Off, /*attempts=*/1,
+                      /*quarantine=*/0, /*deadlineUs=*/50e3);
+        o.enableStreamCache = cache;
+        StreamExecutor ex(g, o);
+        const size_t n = 100;
+        const auto dx = randomData(n, 0xff, 149);
+        const uint16_t x = ex.defineObject(n, 8);
+        const uint16_t w = ex.defineObject(n, 8);
+        ex.writeObject(x, dx);
+
+        StreamHandle h1;
+        {
+            DevicePin pin(g, 0);
+            h1 = ex.submit({BbopInstr::trsp(x, 8)});
+            EXPECT_FALSE(h1.waitFor(75e3)); // past the deadline
+        }
+        EXPECT_THROW(h1.wait(), StreamDeadlineError);
+        ex.submit({BbopInstr::trsp(x, 8),
+                   BbopInstr::binary(OpKind::Add, 8, w, x, x),
+                   BbopInstr::trspInv(w, 8)})
+            .wait();
+        const auto out = ex.readObject(w);
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(out[i], (dx[i] * 2) & 0xff) << i;
+    }
+}
+
+// ---------------------------------------------------------------
 // Quarantine recovery
 // ---------------------------------------------------------------
 
